@@ -163,6 +163,47 @@ impl Distance {
         }
     }
 
+    /// A lower bound on `self.eval(query, p)` for every point `p` inside
+    /// the axis-aligned box `[lower, upper]`, for the Minkowski metrics
+    /// (`0.0` for the others).
+    ///
+    /// Each coordinate's gap is the same `query − bound` subtraction that
+    /// `eval` makes with a point's coordinate, and the gaps are combined in
+    /// the same order. Floating-point subtraction, squaring, summing of
+    /// non-negative terms and `sqrt` are all monotone, so the computed
+    /// bound never exceeds a member point's computed distance.
+    pub(crate) fn box_lower_bound(&self, query: &[f64], lower: &[f64], upper: &[f64]) -> f64 {
+        let gaps = query
+            .iter()
+            .zip(lower.iter().zip(upper))
+            .map(|(&q, (&lo, &hi))| {
+                if q < lo {
+                    q - lo
+                } else if q > hi {
+                    q - hi
+                } else {
+                    0.0
+                }
+            });
+        match self.kind {
+            DistanceKind::Euclidean => gaps.map(|g| g * g).sum::<f64>().sqrt(),
+            DistanceKind::Manhattan => gaps.map(f64::abs).sum(),
+            DistanceKind::Chebyshev => gaps.map(f64::abs).fold(0.0, f64::max),
+            DistanceKind::Hellinger | DistanceKind::JensenShannon => 0.0,
+        }
+    }
+
+    /// [`Distance::box_lower_bound`] for a half-space: a lower bound on the
+    /// distance from the query to every point whose coordinate on one axis
+    /// is `gap` or further from the query's.
+    pub(crate) fn axis_lower_bound(&self, gap: f64) -> f64 {
+        match self.kind {
+            DistanceKind::Euclidean => (gap * gap).sqrt(),
+            DistanceKind::Manhattan | DistanceKind::Chebyshev => gap.abs(),
+            DistanceKind::Hellinger | DistanceKind::JensenShannon => 0.0,
+        }
+    }
+
     /// Whether this distance is a Minkowski metric evaluated coordinate by
     /// coordinate, which is required for exact KD-tree pruning.
     pub fn supports_kdtree(&self) -> bool {

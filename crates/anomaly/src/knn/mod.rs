@@ -7,8 +7,15 @@
 //!   Chebyshev), logarithmic-ish query time on low-dimensional data.
 //!
 //! The reference models built from multimedia traces have a few thousand
-//! points in a few tens of dimensions, so both are fast; the KD-tree mainly
-//! matters for the high-rate online monitoring path.
+//! points in a few tens of dimensions, but the pmfs of short windows
+//! collapse onto a handful of distinct points, each copied hundreds of
+//! times. A linear scan pays for every copy on every query; the KD-tree
+//! skips a clump once it holds enough neighbours no farther away.
+//!
+//! Both return the `k` nearest points exactly. Among equidistant points
+//! each keeps the ones it meets first: the brute-force index in insertion
+//! order, the KD-tree in its visit order. So on tied data the two can keep
+//! different (equally near) neighbours.
 
 mod brute;
 mod kdtree;
@@ -92,6 +99,19 @@ impl BoundedNeighbors {
                 .map(|n| n.distance)
                 .unwrap_or(f64::INFINITY)
         }
+    }
+
+    /// Whether the collection holds `k` neighbours.
+    pub(crate) fn is_full(&self) -> bool {
+        self.items.len() >= self.k
+    }
+
+    /// Whether [`push`](Self::push) drops every candidate at `distance`
+    /// or further: the collection is full and `distance` is at least the
+    /// worst kept. A tie is dropped too, because it is inserted after the
+    /// equal entries and then popped.
+    pub(crate) fn rejects(&self, distance: f64) -> bool {
+        self.is_full() && distance >= self.worst_distance()
     }
 
     pub(crate) fn push(&mut self, candidate: Neighbor) {

@@ -85,11 +85,15 @@ impl LofScore {
 /// Fitting pre-computes, for every reference point, its `k`-distance and
 /// local reachability density (lrd); scoring a query then needs only one
 /// k-nearest-neighbour search plus `O(k)` arithmetic.
+///
+/// When more than `k` reference points tie for the nearest places, which
+/// of them form the neighbourhood follows the index's visit order (see
+/// [`crate::knn`]), and the lrds and scores depend on that choice. So on
+/// tied data a brute-force model and a KD-tree model can differ bitwise;
+/// both are deterministic for a given index.
 #[derive(Debug, Clone)]
 pub struct LofModel {
-    /// Reference points (also stored in the index; kept here so the model
-    /// can introspect itself regardless of the index backend).
-    points: Vec<Vec<f64>>,
+    /// Neighbour index over the reference points, which it owns.
     index: IndexImpl,
     config: LofConfig,
     /// k-distance of each reference point.
@@ -103,7 +107,7 @@ pub struct LofModel {
 /// `(points, config)` and is deliberately left out of the comparison.
 impl PartialEq for LofModel {
     fn eq(&self, other: &Self) -> bool {
-        self.points == other.points
+        self.reference_points() == other.reference_points()
             && self.config == other.config
             && self.k_distances == other.k_distances
             && self.lrds == other.lrds
@@ -121,6 +125,13 @@ impl IndexImpl {
         match self {
             IndexImpl::Brute(index) => index,
             IndexImpl::KdTree(index) => index,
+        }
+    }
+
+    fn points(&self) -> &[Vec<f64>] {
+        match self {
+            IndexImpl::Brute(index) => index.points(),
+            IndexImpl::KdTree(index) => index.points(),
         }
     }
 }
@@ -148,11 +159,12 @@ impl LofModel {
         }
         let distance = Distance::new(config.distance);
         let index = if config.use_kdtree && distance.supports_kdtree() {
-            IndexImpl::KdTree(KdTreeIndex::new(points.clone(), distance)?)
+            IndexImpl::KdTree(KdTreeIndex::new(points, distance)?)
         } else {
-            IndexImpl::Brute(BruteForceIndex::new(points.clone(), distance)?)
+            IndexImpl::Brute(BruteForceIndex::new(points, distance)?)
         };
 
+        let points = index.points();
         let n = points.len();
         let k = config.k;
 
@@ -172,7 +184,6 @@ impl LofModel {
         }
 
         Ok(LofModel {
-            points,
             index,
             config,
             k_distances,
@@ -231,13 +242,13 @@ impl LofModel {
 
     /// Number of reference points in the model.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.reference_points().len()
     }
 
     /// Whether the model holds no reference points (never true for a
     /// successfully fitted model).
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.reference_points().is_empty()
     }
 
     /// Dimensionality of the reference points.
@@ -252,7 +263,7 @@ impl LofModel {
 
     /// The reference points the model was fitted on.
     pub fn reference_points(&self) -> &[Vec<f64>] {
-        &self.points
+        self.index.points()
     }
 
     /// Scores a query point against the reference model.
@@ -290,8 +301,9 @@ impl LofModel {
     /// Propagates index query errors (which cannot occur for points that
     /// were accepted at fit time).
     pub fn reference_scores(&self) -> Result<Vec<f64>, AnomalyError> {
-        let mut scores = Vec::with_capacity(self.points.len());
-        for (i, point) in self.points.iter().enumerate() {
+        let points = self.reference_points();
+        let mut scores = Vec::with_capacity(points.len());
+        for (i, point) in points.iter().enumerate() {
             let neighbors = self
                 .index
                 .as_dyn()
@@ -382,6 +394,8 @@ mod tests {
         assert!(away <= LofModel::MAX_SCORE);
     }
 
+    /// Covers tie-free clouds only: among equidistant neighbours the two
+    /// indexes may keep different points, and the scores then differ.
     #[test]
     fn kdtree_and_brute_force_give_identical_scores() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);

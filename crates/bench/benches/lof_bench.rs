@@ -1,5 +1,11 @@
 //! Benchmarks of the LOF model: fitting a reference set and scoring
 //! queries, with the KD-tree and brute-force backends.
+//!
+//! The points here are continuous random pmfs, all distinct. Real
+//! reference sets are not: the pmfs of 40 ms mm-sim windows collapse onto
+//! a dozen or so distinct points, and how the search handles those
+//! duplicate clumps decides the fit time. `bench_smoke`'s
+//! `lof_fit_reference` measures that shape.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;

@@ -74,7 +74,11 @@
 //! trace-minimization loop from `endurance-repro`, shrinking a
 //! synthetic five-window extraction to a 1-minimal repro with a fresh
 //! detector re-run per oracle call — so a slowdown in the
-//! extract-and-minimize path fails the PR that caused it.
+//! extract-and-minimize path fails the PR that caused it. Schema 8 adds
+//! `lof_fit_reference` — the paper's LOF learning step plus the scoring
+//! of every monitored window on an mm-sim reference set, whose 40 ms
+//! window pmfs collapse onto a few distinct points — normalised per
+//! window fitted or scored.
 //!
 //! The artifact also records `session_push` — one session over the merged
 //! untagged feed. That configuration does per-*fleet* windows (4× fewer
@@ -88,7 +92,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use endurance_core::{MonitorConfig, ReductionSession, ReferenceModel, ShardedReducer};
+use endurance_core::{MonitorConfig, ReductionSession, ReferenceModel, ShardedReducer, WindowPmf};
 use endurance_obs::{MetricsSnapshot, Registry};
 use endurance_repro::{minimize, MinimizeConfig, ReproArtifact};
 use endurance_serve::{ServeHandle, SubscribeOptions, SubscriptionStep};
@@ -98,6 +102,7 @@ use endurance_store::{
 };
 use mm_sim::{Scenario, Simulation};
 use trace_model::codec::{BinaryEncoder, TraceEncoder};
+use trace_model::window::{TimeWindower, Windower};
 use trace_model::{
     CountingSink, EventSink, EventTypeId, InterleavedStreams, MemorySource, RecordMeta, StreamId,
     Timestamp, TraceEvent, Window, WindowId,
@@ -343,6 +348,30 @@ fn codec_workload(quick: bool) -> Vec<(RecordMeta, Vec<TraceEvent>, Vec<u8>)> {
     }
     flush(&mut window, window_start, &mut windows);
     windows
+}
+
+/// Builds the LOF workload: one device's paper-shaped endurance trace
+/// (40 ms windows at the scenario's normal rates, 300 s reference) as
+/// window pmfs, split into the reference set and the monitored windows.
+/// Most reference pmfs are bit-identical copies of a dozen or so distinct
+/// points, the shape the neighbourhood search meets in production.
+fn lof_workload(quick: bool) -> (Vec<WindowPmf>, Vec<WindowPmf>, MonitorConfig) {
+    let duration = Duration::from_secs(if quick { 480 } else { 1020 });
+    let scenario = Scenario::scaled_endurance(duration, 5).expect("valid scenario");
+    let registry = scenario.registry().expect("registry");
+    let config = MonitorConfig::builder()
+        .dimensions(registry.len())
+        .reference_duration(scenario.reference_duration)
+        .build()
+        .expect("valid monitor config");
+    let mut pmfs: Vec<WindowPmf> = TimeWindower::new(Duration::from_millis(40))
+        .expect("window")
+        .windows(Simulation::new(&scenario, &registry).expect("simulation"))
+        .map(|window| WindowPmf::from_window(&window, config.dimensions, config.smoothing))
+        .collect();
+    let reference_len = (scenario.reference_duration.as_millis() / 40) as usize;
+    let monitored = pmfs.split_off(reference_len);
+    (pmfs, monitored, config)
 }
 
 /// Builds the repro-minimization workload: a sealed synthetic
@@ -925,6 +954,26 @@ fn main() -> ExitCode {
         repro_rate,
     ));
 
+    // LOF config: learn the reference model (LOF fit over every
+    // reference pmf) and score each monitored window against it.
+    let (reference_pmfs, monitored_pmfs, lof_config) = lof_workload(options.quick);
+    let lof_windows = (reference_pmfs.len() + monitored_pmfs.len()) as u64;
+    let lof_rate = measure(reps, lof_windows, || {
+        let model =
+            ReferenceModel::learn_from_pmfs(reference_pmfs.clone(), &lof_config).expect("learn");
+        let total: f64 = monitored_pmfs
+            .iter()
+            .map(|pmf| model.score(pmf).expect("score"))
+            .sum();
+        std::hint::black_box(total);
+    });
+    eprintln!("  lof_fit_reference: {:>12.0} windows/s", lof_rate);
+    configs.push(Measurement::rate(
+        "lof_fit_reference",
+        lof_windows,
+        lof_rate,
+    ));
+
     // Load the baseline (when given) before writing the artifact so the
     // per-config deltas ride along in it.
     let baseline: Option<Baseline> = match &options.baseline {
@@ -968,7 +1017,7 @@ fn main() -> ExitCode {
     let delta_ratio = identity_bytes as f64 / codec_bytes[&CodecId::DeltaVarint].max(1) as f64;
     let live_follow_ratio = live_mixed_rate / live_solo_rate.max(1e-9);
     let artifact = Artifact {
-        schema: 7,
+        schema: 8,
         quick: options.quick,
         parallelism,
         compaction_workers,
